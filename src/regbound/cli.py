@@ -14,7 +14,7 @@ from .groebner import GenericityError, IdealParseError, parse_ideal_text
 from .lpp import egh_corollary_bound, egh_known_by_degrees, lpp_construct, lpp_regularity
 from .macaulay import expand, green_bound
 from .oracle import OracleBudgetError, betti_table
-from .ring import DEFAULT_PRIME, is_prime
+from .ring import DEFAULT_PRIME, check_prime_size, is_prime
 
 
 def default_prime() -> int:
@@ -22,6 +22,10 @@ def default_prime() -> int:
     if env is None:
         return DEFAULT_PRIME
     p = int(env)
+    try:
+        check_prime_size(p)
+    except ValueError as exc:
+        raise SystemExit(f"REGBOUND_PRIME={p}: {exc}") from None
     if not is_prime(p):
         raise SystemExit(f"REGBOUND_PRIME={p} is not prime")
     return p

@@ -11,7 +11,7 @@ from .bounds import analyze, green_estimates
 from .groebner import Ideal, ideal_to_text, msaturate, saturate
 from .hilbert import length_identity_sides, numerator_full
 from .oracle import OracleBudgetError, betti_table, regularity_initial
-from .ring import DEFAULT_PRIME, PolyRing, Polynomial
+from .ring import DEFAULT_PRIME, PolyRing, Polynomial, check_prime_size
 
 HARD_CHECKS = (
     "bound_dim_le1",
@@ -55,6 +55,7 @@ class FuzzConfig:
             raise ValueError("bad D range")
         if self.gens_min < 1:
             raise ValueError("bad generator-count range")
+        check_prime_size(self.p)
 
 
 def trial_seed(master: int, index: int) -> int:

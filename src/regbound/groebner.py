@@ -6,6 +6,7 @@ surface works with Polynomial / Ideal objects.
 
 from __future__ import annotations
 
+import heapq
 import re
 
 from .ring import (
@@ -88,51 +89,69 @@ def _spoly(f: dict, g: dict, ltf, ltg, p: int) -> dict:
     return out
 
 
-def _buchberger_raw(polys: list[dict], key, p: int) -> list[dict]:
-    """Reduced Groebner basis of the given term dicts, as monic term dicts.
+def _buchberger_raw(polys: list[dict], key, p: int) -> tuple[list[dict], list[int]]:
+    """Reduced Groebner basis of the given term dicts, and the inputs it kept.
 
-    Normal pair selection (smallest lcm in the order) with both classical
-    pair-skipping criteria: coprime leading terms, and the chain criterion.
+    Returns ``(basis, kept)``: the reduced basis as monic term dicts sorted by
+    leading monomial, and the indices into ``polys`` of the inputs whose
+    normal form was nonzero when they were taken, in the order taken.
+
+    Pending S-pairs wait in a heap keyed by ``(deg lcm, key(lcm), i, j)``,
+    computed once per pair: normal selection, smallest lcm first. Pairs are
+    skipped by both classical criteria: coprime leading terms, and the chain
+    criterion. Homogeneous input is taken degree by degree, sorted by
+    ``(degree, key(leading monomial))``: an input of degree delta is reduced
+    only once every pair of degree <= delta is done, when the basis is a
+    Groebner basis of the inputs kept so far up to degree delta. An input is
+    therefore kept exactly when it is not in the ideal of those kept before
+    it, so the kept inputs are greedily chosen minimal generators.
+    Inhomogeneous input is all taken before the first pair.
     """
+    homogeneous = all(len({sum(m) for m in f}) == 1 for f in polys if f)
+    inputs = []
+    for idx, f in enumerate(polys):
+        if f:
+            lm = max(f, key=key)
+            inputs.append((sum(lm) if homogeneous else -1, key(lm), idx))
+    inputs.sort(reverse=True)  # taken from the end, smallest first
     basis: list[dict] = []
     lts: list = []
-    for f in polys:
-        if f:
-            g = _make_monic(f, key, p)
-            basis.append(g)
-            lts.append(max(g, key=key))
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    kept: list[int] = []
+    pairs: list = []  # heap of (deg lcm, key(lcm), i, j, lcm)
     done: set = set()
-
-    def pair_rank(ij):
-        lcm = mono_lcm(lts[ij[0]], lts[ij[1]])
-        return (sum(lcm), key(lcm), ij)
-
-    while pairs:
-        i, j = min(pairs, key=pair_rank)
-        pairs.remove((i, j))
-        done.add((i, j))
-        lcm = mono_lcm(lts[i], lts[j])
-        if lcm == mono_mul(lts[i], lts[j]):
-            continue  # coprime leading terms
-        chain = False
-        for k in range(len(basis)):
-            if k in (i, j) or not mono_divides(lts[k], lcm):
+    while pairs or inputs:
+        if inputs and (not pairs or inputs[-1][0] < pairs[0][0]):
+            idx = inputs.pop()[2]
+            r = _reduce_terms(polys[idx], basis, lts, key, p)
+            if not r:
                 continue
-            ik = (min(i, k), max(i, k))
-            jk = (min(j, k), max(j, k))
-            if ik in done and jk in done:
-                chain = True
-                break
-        if chain:
-            continue
-        r = _reduce_terms(_spoly(basis[i], basis[j], lts[i], lts[j], p), basis, lts, key, p)
-        if r:
-            g = _make_monic(r, key, p)
-            new = len(basis)
-            basis.append(g)
-            lts.append(max(g, key=key))
-            pairs.update((k, new) for k in range(new))
+            kept.append(idx)
+        else:
+            _, _, i, j, lcm = heapq.heappop(pairs)
+            done.add((i, j))
+            if lcm == mono_mul(lts[i], lts[j]):
+                continue  # coprime leading terms
+            chain = False
+            for k in range(len(basis)):
+                if k in (i, j) or not mono_divides(lts[k], lcm):
+                    continue
+                ik = (min(i, k), max(i, k))
+                jk = (min(j, k), max(j, k))
+                if ik in done and jk in done:
+                    chain = True
+                    break
+            if chain:
+                continue
+            r = _reduce_terms(_spoly(basis[i], basis[j], lts[i], lts[j], p), basis, lts, key, p)
+            if not r:
+                continue
+        g = _make_monic(r, key, p)
+        new = len(basis)
+        basis.append(g)
+        lts.append(max(g, key=key))
+        for k in range(new):
+            lcm = mono_lcm(lts[k], lts[new])
+            heapq.heappush(pairs, (sum(lcm), key(lcm), k, new, lcm))
 
     # minimalize: drop elements whose leading term is divisible by another's
     order = sorted(range(len(basis)), key=lambda i: key(lts[i]))
@@ -155,7 +174,7 @@ def _buchberger_raw(polys: list[dict], key, p: int) -> list[dict]:
                 minimal[i] = _make_monic(r, key, p)
                 changed = True
     minimal.sort(key=lambda g: key(max(g, key=key)))
-    return minimal
+    return minimal, kept
 
 
 # --- monomial ideals ----------------------------------------------------------
@@ -261,12 +280,25 @@ class Ideal:
         cache_key = ("gb", order) if isinstance(order, str) else None
         if cache_key and cache_key in self._cache:
             return self._cache[cache_key]
-        key = order_key(order)
-        raw = _buchberger_raw([g.terms for g in self.generators], key, self.ring.p)
+        if order == "degrevlex":
+            self._degrevlex_run()
+            return self._cache[cache_key]
+        raw, _ = _buchberger_raw(
+            [g.terms for g in self.generators], order_key(order), self.ring.p
+        )
         gb = tuple(Polynomial._raw(self.ring, g) for g in raw)
         if cache_key:
             self._cache[cache_key] = gb
         return gb
+
+    def _degrevlex_run(self) -> None:
+        """The one degrevlex Buchberger run per ideal: caches both its basis
+        and the minimal generators it keeps along the way."""
+        raw, kept = _buchberger_raw(
+            [g.terms for g in self.generators], degrevlex_key, self.ring.p
+        )
+        self._cache[("gb", "degrevlex")] = tuple(Polynomial._raw(self.ring, g) for g in raw)
+        self._cache["min_gens"] = tuple(self.generators[i] for i in kept)
 
     def initial_ideal(self, order="degrevlex") -> MonomialIdeal:
         cache_key = ("in", order) if isinstance(order, str) else None
@@ -294,26 +326,16 @@ class Ideal:
         return self.normal_form(f).is_zero
 
     def minimal_generators(self) -> tuple[Polynomial, ...]:
-        """An irredundant generating subset, greedily chosen by degree."""
-        if "min_gens" in self._cache:
-            return self._cache["min_gens"]
-        key = degrevlex_key
-        gens = sorted(
-            self.generators,
-            key=lambda g: (g.homogeneous_degree(), key(g.leading_monomial())),
-        )
-        kept: list[Polynomial] = []
-        gb_raw: list[dict] = []
-        lts: list = []
-        for g in gens:
-            r = _reduce_terms(g.terms, gb_raw, lts, key, self.ring.p)
-            if r:
-                kept.append(g)
-                gb_raw = _buchberger_raw([h.terms for h in kept], key, self.ring.p)
-                lts = [max(h, key=key) for h in gb_raw]
-        result = tuple(kept)
-        self._cache["min_gens"] = result
-        return result
+        """An irredundant generating subset, greedily chosen by degree.
+
+        The generators are taken in order of (degree, degrevlex leading
+        monomial), and each is kept when it is not in the ideal of those
+        kept before it. The degree-by-degree degrevlex Buchberger run finds
+        these along the way and caches its basis too.
+        """
+        if "min_gens" not in self._cache:
+            self._degrevlex_run()
+        return self._cache["min_gens"]
 
     def max_generator_degree(self) -> int:
         """Largest degree among minimal generators (the D of the bounds)."""
@@ -425,11 +447,15 @@ def _invert_matrix_modp(mat, p):
     return [row[n:] for row in a]
 
 
-def _colon_linear(I: Ideal, y: Polynomial) -> Ideal:
-    """I : y for a linear form, via a coordinate change sending y to the last
-    variable; in degrevlex the last variable divides a Groebner basis element
-    exactly when it divides its leading term, so the quotient is read off the
-    transformed basis."""
+def _colon_linear(I: Ideal, y: Polynomial, saturate: bool = False) -> Ideal:
+    """I : y, or I : y^infinity when saturate is set, for a linear form y.
+
+    A coordinate change sends y to the last variable x_n. In degrevlex, a
+    power of x_n divides a Groebner basis element exactly when it divides
+    its leading term (Bayer-Stillman), so the quotient is read off the
+    transformed basis: each element loses one factor x_n, or for the
+    saturation every factor x_n of its leading term.
+    """
     ring = I.ring
     fwd, back = _linear_change(ring, y)
     moved = Ideal(ring, [g.substitute(fwd) for g in I.generators])
@@ -438,10 +464,10 @@ def _colon_linear(I: Ideal, y: Polynomial) -> Ideal:
     xn = ring.variable(last)
     out = []
     for g in gb:
-        if g.leading_monomial()[last] > 0:
-            out.append(_exact_divide(g, xn))
-        else:
-            out.append(g)
+        e = g.leading_monomial()[last]
+        if not saturate:
+            e = min(e, 1)
+        out.append(_exact_divide(g, xn**e) if e else g)
     return Ideal(ring, [g.substitute(back) for g in out])
 
 
@@ -462,7 +488,7 @@ def _colon_general(I: Ideal, f: Polynomial) -> Ideal:
 
     gens_ext = [up(g, 1).terms for g in I.generators]
     gens_ext.append((up(f, 0) - up(f, 1)).terms)
-    gb = _buchberger_raw(gens_ext, elim_key, p)
+    gb, _ = _buchberger_raw(gens_ext, elim_key, p)
     intersection = []
     for g in gb:
         if all(m[0] == 0 for m in g):
@@ -488,18 +514,19 @@ def colon(I: Ideal, y: Polynomial) -> Ideal:
 
 
 def saturate(I: Ideal, y: Polynomial) -> Ideal:
-    """I : y^infinity, by iterating the colon until it stabilizes."""
+    """I : y^infinity.
+
+    For a linear form this is read off one Groebner basis. For a form of
+    higher degree the colon is iterated until it stabilizes, which it does
+    because the ascending chain I : y^k ends in a Noetherian ring.
+    """
+    if y.ring == I.ring and y.homogeneous_degree() == 1:
+        return _colon_linear(I, y, saturate=True)
     current = I
-    steps = 0
     while True:
         nxt = colon(current, y)
         if nxt == current:
             return current
-        steps += 1
-        degs = [g.homogeneous_degree() for g in nxt.generators]
-        cap = 1 + max(degs, default=0)
-        if steps > cap:
-            raise InternalLimitError("saturation did not stabilize within its cap")
         current = nxt
 
 

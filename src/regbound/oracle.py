@@ -15,7 +15,8 @@ from math import comb
 import numpy as np
 
 from .groebner import Ideal, MonomialIdeal, _reduce_terms
-from .ring import order_key
+from .hilbert import InvariantError
+from .ring import check_prime_size, order_key
 
 REG_EMPTY = float("-inf")  # sentinel regularity of the zero module S/(1)
 
@@ -27,7 +28,9 @@ class OracleBudgetError(RuntimeError):
 
 
 def rank_mod_p(A: np.ndarray, p: int) -> int:
-    """Rank over F_p by dense Gaussian elimination (int64 arithmetic)."""
+    """Rank over F_p by dense Gaussian elimination (int64 arithmetic, so p
+    must be below PRIME_CAP)."""
+    check_prime_size(p)
     if A.size == 0:
         return 0
     A = np.array(A, dtype=np.int64) % p
@@ -57,7 +60,8 @@ def rank_mod_p(A: np.ndarray, p: int) -> int:
 
 
 def nullspace_mod_p(A: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the right nullspace over F_p."""
+    """Basis of the right nullspace over F_p (p below PRIME_CAP)."""
+    check_prime_size(p)
     rows, cols = A.shape
     if cols == 0:
         return []
@@ -307,7 +311,8 @@ def _scan(alg: QuotientAlgebra, cap: int) -> BettiTable:
             if dim_k == 0:
                 continue
             t = dim_k - rank_at(i, j) - rank_at(i + 1, j)
-            assert t >= 0, "negative Betti number"
+            if t < 0:
+                raise InvariantError(f"negative Betti number {t} at ({i}, {j})")
             if t:
                 table.entries[(i, j)] = t
     return table

@@ -14,6 +14,12 @@ from functools import lru_cache
 
 DEFAULT_PRIME = 32003
 
+# Largest characteristic plus one. The F_p kernels work in numpy int64 and
+# sum products of two residues: below 2^24 a product is under 2^48, so sums
+# of up to 2^15 products (the inner dimension of a matrix product) cannot
+# overflow.
+PRIME_CAP = 1 << 24
+
 
 class DimensionMismatchError(ValueError):
     """Operands live over rings with different variable counts."""
@@ -34,6 +40,12 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def check_prime_size(p: int) -> None:
+    """Refuse a characteristic at or above PRIME_CAP."""
+    if p >= PRIME_CAP:
+        raise ValueError(f"characteristic {p} is too large: primes must be below 2^24")
+
+
 @dataclass(frozen=True)
 class PolyRing:
     """Standard graded polynomial ring F_p[x1, ..., xn]; every variable has degree 1."""
@@ -44,6 +56,7 @@ class PolyRing:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("ring needs at least one variable")
+        check_prime_size(self.p)
         if not is_prime(self.p):
             raise ValueError(f"characteristic {self.p} is not prime")
 

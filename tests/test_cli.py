@@ -83,6 +83,16 @@ class TestAnalyzeCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["ring"]["p"] == "101"
 
+    def test_prime_above_cap_refused(self, tmp_path, monkeypatch):
+        path = tmp_path / "noprime.ideal"
+        path.write_text("ring n=2\nx1^2\n")
+        monkeypatch.setenv("REGBOUND_PRIME", "4294967311")
+        for args in (["analyze", str(path)], ["fuzz", "--trials", "1"]):
+            with pytest.raises(SystemExit, match="REGBOUND_PRIME=4294967311: .* below 2\\^24"):
+                main(args)
+        with pytest.raises(ValueError, match="below 2\\^24"):
+            FuzzConfig(p=4294967311)
+
 
 class TestFuzzCommand:
     def test_summaries_are_byte_identical(self, tmp_path, capsys):

@@ -146,6 +146,27 @@ class TestSaturate:
         I = ideal(R2, "x1*x2")
         assert saturate(I, R2.variable(1)) == ideal(R2, "x1")
 
+    def test_matches_msaturate_where_the_colon_chain_is_long(self):
+        # the colon chain's generator degrees fall while it grows, which once
+        # made a per-step cap raise a false InternalLimitError here
+        I = ideal(R3, "x1^2", "x1*x2^3", "x1*x3^3")
+        assert saturate(I, parse_polynomial(R3, "x1 + x2 + x3")) == msaturate(I)
+
+    def test_saturation_index_above_the_taylor_cap(self):
+        # over F_5 the chain I : y^k grows until k = 10, past
+        # taylor_cap(in(I)) + 1 = 7, for this y that is not filter-regular
+        ring = PolyRing(3, 5)
+        f = (
+            "-x1^4 + x1^3*x2 - 2*x1^2*x2^2 - x1*x2^3 - x2^4 - x1^3*x3"
+            " + x1^2*x2*x3 - x1^2*x3^2 - x1*x2*x3^2 + x2^2*x3^2 - x1*x3^3"
+            " - x2*x3^3 - x3^4"
+        )
+        I = ideal(ring, "x2^3*x3", f)
+        y = parse_polynomial(ring, "x1 - x3")
+        S = saturate(I, y)
+        assert colon(S, y) == S
+        assert S == _colon_general(I, y**10) != _colon_general(I, y**9)
+
 
 class TestMSaturate:
     def test_strips_embedded_component(self):
@@ -278,6 +299,103 @@ class TestAgainstSympy:
                 [dict(f.terms) for f in I.groebner_basis()], key=lambda d: sorted(d)
             )
             assert mine == self._sympy_basis(I.generators, I.ring, "degrevlex")
+
+
+class TestMinimalGenerators:
+    def test_redundant_within_and_across_degrees(self):
+        # sorted by (degree, degrevlex leading monomial), ties in input order:
+        # x1*x2, x1^2, x1^2 + 3*x1*x2 | x1^2*x3 | x2^3
+        I = ideal(R3, "x1^2", "x1*x2", "x1^2 + 3*x1*x2", "x1^2*x3", "x2^3")
+        assert [str(g) for g in I.minimal_generators()] == ["x1*x2", "x1^2", "x2^3"]
+
+    def test_redundancy_seen_only_through_an_s_pair(self):
+        # x2^3 = x1*(x1*x2) - x2*(x1^2 - x2^2) and x1^3 = x1*(x1^2 - x2^2) + x2*(x1*x2):
+        # both follow from the degree-3 S-pair of the two quadrics
+        I = ideal(R2, "x2^3", "x1^3", "x1^2 - x2^2", "x1*x2")
+        assert [str(g) for g in I.minimal_generators()] == ["x1*x2", "x1^2 - x2^2"]
+        assert I.max_generator_degree() == 2
+
+    def test_zero_and_unit(self):
+        assert Ideal(R2, []).minimal_generators() == ()
+        assert [str(g) for g in ideal(R2, "x1", "1", "x2").minimal_generators()] == ["1"]
+
+    @staticmethod
+    def _count_runs(monkeypatch):
+        from regbound import groebner
+
+        calls = []
+        real = groebner._buchberger_raw
+
+        def counting(polys, key, p):
+            calls.append(key)
+            return real(polys, key, p)
+
+        monkeypatch.setattr(groebner, "_buchberger_raw", counting)
+        return calls
+
+    def test_one_run_gives_basis_and_generators(self, monkeypatch):
+        calls = self._count_runs(monkeypatch)
+        I = ideal(R3, "x1^2", "x1*x2", "x1^2 + 3*x1*x2", "x1^2*x3", "x2^3")
+        I.minimal_generators()
+        I.groebner_basis()
+        I.max_generator_degree()
+        J = ideal(R3, "x1^2", "x1*x2", "x1^2 + 3*x1*x2", "x1^2*x3", "x2^3")
+        J.groebner_basis()
+        J.minimal_generators()
+        assert len(calls) == 2
+        assert I.minimal_generators() == J.minimal_generators()
+
+    def test_analyze_runs_degrevlex_buchberger_once_per_ideal(self, monkeypatch):
+        from regbound.bounds import analyze
+        from regbound.ring import degrevlex_key
+
+        calls = self._count_runs(monkeypatch)
+        owners = []  # kept alive, so ids stay distinct
+        real_run = Ideal._degrevlex_run
+
+        def run(self):
+            owners.append(self)
+            real_run(self)
+
+        monkeypatch.setattr(Ideal, "_degrevlex_run", run)
+        I = ideal(R3, "x1^2", "x1*x2", "x1*x3", "x1^2 + x1*x2", "x2^3")
+        analyze(I, seed=3, exact=True)
+        assert owners and owners[0] is I
+        assert len({id(J) for J in owners}) == len(owners)
+        assert calls.count(degrevlex_key) == len(owners)
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=20, deadline=None)
+    def test_kept_subset_is_irredundant_and_generates(self, seed):
+        from regbound.fuzz import random_homogeneous_form
+
+        rng = random.Random(seed)
+        ring = PolyRing(rng.randint(2, 3), rng.choice([5, 32003]))
+
+        def form(d):
+            if d == 0:
+                return ring.one() * rng.randrange(1, ring.p)
+            if rng.random() < 0.5:
+                return Polynomial._raw(ring, {rng.choice(ring.monomials_of_degree(d)): 1})
+            return random_homogeneous_form(ring, rng, d)
+
+        gens = [form(rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(1, 3)):
+            a, b = rng.choice(gens), rng.choice(gens)
+            da, db = a.homogeneous_degree(), b.homogeneous_degree()
+            d = max(da, db) + rng.randint(0, 1)
+            combo = form(d - da) * a + form(d - db) * b
+            if not combo.is_zero:
+                gens.append(combo)
+        rng.shuffle(gens)
+        I = Ideal(ring, gens)
+        kept = I.minimal_generators()
+        assert Ideal(ring, kept) == I
+        for g in kept:
+            rest = Ideal(ring, [h for h in kept if h is not g])
+            assert not rest.contains(g)
+        mine = sorted([dict(f.terms) for f in I.groebner_basis()], key=lambda d: sorted(d))
+        assert mine == TestAgainstSympy._sympy_basis(I.generators, ring, "degrevlex")
 
 
 class TestColonPathsAgree:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from regbound.groebner import Ideal
-from regbound.hilbert import numerator_full
+from regbound.hilbert import InvariantError, numerator_full
 from regbound.oracle import (
     REG_EMPTY,
     OracleBudgetError,
@@ -55,6 +55,16 @@ class TestLinearAlgebra:
         assert len(basis) == 1
         v = basis[0]
         assert ((A @ v) % 7 == 0).all()
+
+
+    def test_large_prime_refused(self):
+        # at p = 4294967311 int64 products of residues overflow and ranks
+        # come out wrong, so the kernels refuse it
+        A = np.eye(3, dtype=np.int64)
+        with pytest.raises(ValueError, match="below 2\\^24"):
+            rank_mod_p(A, 4294967311)
+        with pytest.raises(ValueError, match="below 2\\^24"):
+            nullspace_mod_p(A, 4294967311)
 
 
 class TestKoszulStrand:
@@ -159,6 +169,11 @@ class TestBettiTable:
             a = _scan(QuotientAlgebra(I, order="degrevlex"), cap)
             b = _scan(QuotientAlgebra(I, order="lex"), cap)
             assert a.entries == b.entries
+
+    def test_negative_betti_number_raises(self, monkeypatch):
+        monkeypatch.setattr(QuotientAlgebra, "strand_rank", lambda self, i, j: 10**6)
+        with pytest.raises(InvariantError, match="negative Betti number"):
+            betti_table(ideal(R2, "x1^2", "x2^2"))
 
     def test_rows_accessor(self):
         table = betti_table(ideal(R2, "x1^2", "x2^2"))

@@ -27,6 +27,12 @@ class TestRingConstruction:
         with pytest.raises(ValueError):
             PolyRing(2, 32004)
 
+    def test_prime_size_cap(self):
+        # 4294967311 is prime; int64 kernels overflow at that size
+        with pytest.raises(ValueError, match="below 2\\^24"):
+            PolyRing(2, 4294967311)
+        assert PolyRing(2, 16777213).p == 16777213  # the largest prime below 2^24
+
     def test_rejects_empty_ring(self):
         with pytest.raises(ValueError):
             PolyRing(0)
