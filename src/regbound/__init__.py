@@ -1,5 +1,6 @@
 """regbound: Castelnuovo-Mumford regularity bounds for homogeneous ideals
-over prime fields, with an exact Koszul-homology oracle."""
+over prime fields, checked against the exact regularity (Trung's formula on
+one adapted Groebner basis, cross-checked by Koszul homology)."""
 
 from .bounds import (
     BoundReport,
@@ -10,6 +11,7 @@ from .bounds import (
     bound_dim_le1,
     cs_recursive_bound,
     phi,
+    section_regularities,
 )
 from .groebner import (
     GenericityError,

@@ -2,7 +2,10 @@
 
 The pipeline measures (D, d, h, e, c, c') for an ideal, evaluates every
 bound in arbitrary precision, and optionally verifies each one against the
-exact Koszul oracle.
+exact regularity. Both the section invariants and the exact regularity come
+from one Groebner basis, taken in coordinates where the filter-regular
+l.s.o.p. is the last variables (Bayer-Stillman), with the regularity read
+off by Trung's formula. The Koszul oracle stays an independent cross-check.
 """
 
 from __future__ import annotations
@@ -11,16 +14,24 @@ from dataclasses import dataclass, field
 from math import comb, prod
 
 from . import macaulay
-from .groebner import Ideal, filter_regular_lsop
+from .groebner import (
+    Ideal,
+    MonomialIdeal,
+    _finite_length_series,
+    _poly_sub,
+    adapted_initial_ideal,
+    filter_regular_lsop,
+)
 from .hilbert import (
+    InvariantError,
     artinian_length,
     dim_and_height,
     hilbert_function,
+    hilbert_series,
     length_defect,
     multiplicity,
-    section_hf,
+    numerator_full,
 )
-from .oracle import OracleBudgetError, regularity_exact
 from .ring import Polynomial
 
 BOUND_KEYS = (
@@ -90,7 +101,50 @@ def bound_classical(D: int, n: int) -> int:
     return (2 * D) ** (2 ** (n - 2))
 
 
-def cs_recursive_bound(I: Ideal, lsop, max_dim: int | None = None) -> int:
+def _adapted_sections(I: Ideal, forms) -> list[MonomialIdeal]:
+    """M_0, ..., M_d: the adapted initial ideal plus its last k variables,
+    the initial ideal of I plus the first k forms."""
+    cuts = [adapted_initial_ideal(I, forms)]
+    for k in range(len(forms)):
+        cuts.append(cuts[-1].plus_variable(I.ring.n - 1 - k))
+    return cuts
+
+
+def _end_degree(num: list[int], n: int, what: str) -> int | None:
+    """Top nonzero degree of a module of finite length with Hilbert series
+    num / (1-t)^n, or None for the zero module."""
+    series = _finite_length_series(num, n)
+    if series is None:
+        raise InvariantError(f"{what} does not have finite length")
+    return max((j for j, c in enumerate(series) if c), default=None)
+
+
+def section_regularities(I: Ideal, forms) -> list[int]:
+    """reg(S/(I + forms[:k])) for k = 0, ..., len(forms), by Trung's formula.
+
+    The forms must be a filter-regular sequence whose last section is
+    Artinian. With I_k = I + forms[:k], a_k = end((I_k : forms[k]) / I_k) for
+    k < d and a_d = end(S/I_d), reg(S/I_k) = max(a_k, ..., a_d) (Trung,
+    Reduction exponent and degree bound for the defining equations of graded
+    rings, Proc. AMS 1987). Each a_k is read off the Hilbert numerators of
+    the adapted initial ideal; a form that is not filter-regular, or a last
+    section that is not Artinian, raises InvariantError.
+    """
+    forms = list(forms)
+    if I.is_unit:
+        raise ValueError("the unit ideal has no regularity of this form")
+    n = I.ring.n
+    cuts = _adapted_sections(I, forms)
+    ends = []
+    for k, M in enumerate(cuts[:-1]):
+        diff = _poly_sub(numerator_full(M), numerator_full(M.colon_variable(n - 1 - k)))
+        ends.append(_end_degree(diff, n, f"(I_{k} : y_{k + 1}) / I_{k}"))
+    last = cuts[-1] if forms else I  # with no forms, I's numerator is cached
+    ends.append(_end_degree(numerator_full(last), n, f"S/I_{len(forms)}"))
+    return [max(a for a in ends[k:] if a is not None) for k in range(len(ends))]
+
+
+def cs_recursive_bound(I: Ideal, lsop) -> int:
     """Hyperplane-section recursion bound: max(D, reg of the first section)
     plus the product of the section regularities times the length defect."""
     lsop = list(lsop)
@@ -98,9 +152,7 @@ def cs_recursive_bound(I: Ideal, lsop, max_dim: int | None = None) -> int:
     if d < 2:
         raise ValueError("recursion bound applies to dimension at least two")
     D = I.max_generator_degree()
-    regs = [
-        regularity_exact(I.plus(*lsop[:i]), max_dim=max_dim) for i in range(1, d)
-    ]
+    regs = section_regularities(I, lsop)[1:d]
     defect = length_defect(I, lsop)
     return max(D, regs[0]) + prod(regs) * defect
 
@@ -132,9 +184,14 @@ def gather_invariants(I: Ideal, seed: int = 0) -> Invariants:
     e = multiplicity(I)
     hf_D = hilbert_function(I, D)
     lsop = filter_regular_lsop(I, seed)
-    c = section_hf(I, lsop[: max(d - 1, 0)], D)
-    cprime = section_hf(I, lsop, D)
-    length_art = artinian_length(I.plus(*lsop) if lsop else I)
+    if lsop:
+        cuts = _adapted_sections(I, lsop)
+        c = hilbert_function(cuts[-2], D)
+        artinian = hilbert_series(cuts[-1])
+        cprime, length_art = artinian.hf(D), artinian.length()
+    else:
+        c = cprime = hf_D
+        length_art = artinian_length(I)
     return Invariants(
         D=D,
         d=d,
@@ -233,15 +290,14 @@ def analyze(
     I: Ideal,
     seed: int = 0,
     exact: bool = False,
-    max_dim: int | None = None,
     with_cs: bool | None = None,
 ) -> BoundReport:
     """Measure invariants and evaluate every applicable bound.
 
-    With ``exact``, the Koszul oracle supplies reg(S/I) and each bound gets a
-    verdict; ``with_cs`` (default: exact and d >= 2) additionally evaluates
-    the hyperplane-section recursion bound, which needs the oracle on every
-    section.
+    With ``exact``, Trung's formula on the adapted initial ideal (see
+    section_regularities) supplies reg(S/I) and each bound gets a verdict;
+    ``with_cs`` (default: exact and d >= 2) additionally evaluates the
+    hyperplane-section recursion bound from the regularity of every section.
     """
     inv = gather_invariants(I, seed)
     n, D, d, h, e = I.ring.n, inv.D, inv.d, inv.h, inv.e
@@ -286,17 +342,11 @@ def analyze(
 
     if with_cs is None:
         with_cs = d >= 2
-    try:
-        reg = regularity_exact(I, max_dim=max_dim)
-    except OracleBudgetError:
-        return report
+    reg = section_regularities(I, inv.lsop)[0]
     report.exact_reg = reg
     report.exact_reg_ideal = reg + 1
     if with_cs and d >= 2:
-        try:
-            bounds["cs_recursive"] = cs_recursive_bound(I, inv.lsop, max_dim=max_dim)
-        except OracleBudgetError:
-            bounds["cs_recursive"] = None
+        bounds["cs_recursive"] = cs_recursive_bound(I, inv.lsop)
 
     compare_quotient = {
         "dim_le1",

@@ -44,9 +44,7 @@ def cmd_analyze(args) -> int:
         print(f"error: {args.file}: {exc}", file=sys.stderr)
         return 2
     try:
-        report = analyze(
-            ideal, seed=args.seed, exact=args.exact, max_dim=args.budget
-        )
+        report = analyze(ideal, seed=args.seed, exact=args.exact)
     except (ValueError, GenericityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -182,12 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="bound one ideal from a file")
     pa.add_argument("file")
-    pa.add_argument("--exact", action="store_true", help="run the Koszul oracle")
+    pa.add_argument("--exact", action="store_true",
+                    help="compute reg(S/I) exactly and check every bound")
     pa.add_argument("--betti", action="store_true", help="print the Betti table")
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--json", action="store_true")
     pa.add_argument("--budget", type=int, default=None,
-                    help="max strand matrix side for the oracle")
+                    help="max strand matrix side for --betti's Koszul scan")
     pa.set_defaults(func=cmd_analyze)
 
     pf = sub.add_parser("fuzz", help="randomized soundness harness")
@@ -201,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--gens-max", type=int, default=None)
     pf.add_argument("--dim", default=None, help="le1, ge2, or an exact dimension")
     pf.add_argument("--experiment", choices=["weak-egh"], default=None)
-    pf.add_argument("--budget", type=int, default=2000)
+    pf.add_argument("--budget", type=int, default=2000,
+                    help="max strand matrix side for the Koszul cross-check")
     pf.add_argument("--jobs", type=int, default=1)
     pf.add_argument("--out-dir", default=".")
     pf.add_argument("--json", action="store_true")

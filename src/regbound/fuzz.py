@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 
 from .bounds import analyze, green_estimates
 from .groebner import Ideal, ideal_to_text, msaturate, saturate
-from .hilbert import length_identity_sides, numerator_full
+from .hilbert import InvariantError, length_identity_sides, numerator_full
 from .oracle import OracleBudgetError, betti_table, regularity_initial
 from .ring import DEFAULT_PRIME, PolyRing, Polynomial, check_prime_size
 
@@ -121,15 +121,19 @@ def run_trial(cfg: FuzzConfig, index: int) -> dict:
         "weak_egh": None,
         "skipped_budget": False,
     }
+    report = analyze(I, seed=seed, exact=True)
+    record["report"] = report.to_json_dict()
+    # the Koszul Betti table is the independent side of the exact regularity
     try:
-        report = analyze(I, seed=seed, exact=True, max_dim=cfg.exact_budget)
+        table = betti_table(I, max_dim=cfg.exact_budget)
     except OracleBudgetError:
         record["skipped_budget"] = True
         return record
-    record["report"] = report.to_json_dict()
-    if report.exact_reg is None:
-        record["skipped_budget"] = True
-        return record
+    if table.regularity() != report.exact_reg:
+        raise InvariantError(
+            f"trial {index}: reg(S/I) is {report.exact_reg} by Trung's formula "
+            f"but {table.regularity()} by the Koszul oracle"
+        )
 
     checks = record["checks"]
     inv = report.invariants
@@ -179,11 +183,10 @@ def run_trial(cfg: FuzzConfig, index: int) -> dict:
             "pass" if b_phi <= b_dh and b_phi <= b_green else "fail"
         )
 
+    checks["euler_identity"] = (
+        "pass" if table.euler_numerator() == numerator_full(I) else "fail"
+    )
     try:
-        table = betti_table(I, max_dim=cfg.exact_budget)
-        euler = table.euler_numerator()
-        series_num = numerator_full(I)
-        checks["euler_identity"] = "pass" if euler == series_num else "fail"
         reg_ini = regularity_initial(I, max_dim=cfg.exact_budget)
         checks["initial_cap"] = (
             "pass" if report.exact_reg <= reg_ini else "fail"

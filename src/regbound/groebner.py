@@ -396,22 +396,44 @@ def _exact_divide(g: Polynomial, f: Polynomial) -> Polynomial:
     return Polynomial._raw(ring, quot)
 
 
-def _linear_change(ring: PolyRing, y: Polynomial):
-    """Substitution pair (fwd, back) for an automorphism sending y to x_n."""
+def _linear_change(ring: PolyRing, forms):
+    """Substitution pair (fwd, back) for an automorphism sending forms[k] to
+    x_{n-k}, the variable with index n-1-k; the linear forms must be
+    linearly independent.
+
+    The new variables x_1, ..., x_{n-d} map back to the old variables off the
+    pivot columns of an echelon form of the forms, in increasing order.
+    """
     n, p = ring.n, ring.p
-    coeffs = [0] * n
-    for m, c in y.terms.items():
-        coeffs[m.index(1)] = c
-    k = next(i for i, c in enumerate(coeffs) if c)
-    # columns of M_inv: images of x_i under the inverse map; last column is y
+    rows = []
+    for y in forms:
+        coeffs = [0] * n
+        for m, c in y.terms.items():
+            coeffs[m.index(1)] = c
+        rows.append(coeffs)
+    pivots: list[int] = []
+    echelon: list[list[int]] = []
+    for row in rows:
+        for j, e in zip(pivots, echelon):
+            f = row[j]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, e)]
+        k = next((i for i, c in enumerate(row) if c), None)
+        if k is None:
+            raise ValueError("the forms are linearly dependent")
+        inv = pow(row[k], -1, p)
+        pivots.append(k)
+        echelon.append([(c * inv) % p for c in row])
+    # columns of M_inv: images of x_i under the inverse map; the last d
+    # columns are the forms, the last one forms[0]
     cols = []
     for i in range(n):
-        if i == k:
+        if i in pivots:
             continue
         col = [0] * n
         col[i] = 1
         cols.append(col)
-    cols.append(coeffs)
+    cols.extend(reversed(rows))
     m_inv = [[cols[j][i] for j in range(n)] for i in range(n)]
     m_fwd = _invert_matrix_modp(m_inv, p)
 
@@ -457,7 +479,7 @@ def _colon_linear(I: Ideal, y: Polynomial, saturate: bool = False) -> Ideal:
     saturation every factor x_n of its leading term.
     """
     ring = I.ring
-    fwd, back = _linear_change(ring, y)
+    fwd, back = _linear_change(ring, [y])
     moved = Ideal(ring, [g.substitute(fwd) for g in I.generators])
     gb = moved.groebner_basis()
     last = ring.n - 1
@@ -469,6 +491,27 @@ def _colon_linear(I: Ideal, y: Polynomial, saturate: bool = False) -> Ideal:
             e = min(e, 1)
         out.append(_exact_divide(g, xn**e) if e else g)
     return Ideal(ring, [g.substitute(back) for g in out])
+
+
+def adapted_initial_ideal(I: Ideal, forms) -> MonomialIdeal:
+    """Degrevlex initial ideal M of I in coordinates where forms[k] is x_{n-k}.
+
+    For degrevlex, Bayer-Stillman give in(J + x_n) = in(J) + x_n and
+    in(J : x_n) = in(J) : x_n. So M plus the last k variables is the initial
+    ideal of I plus the first k forms, and its colon by the next variable is
+    that of the colon by the next form: one Groebner basis carries the
+    Hilbert data of every section. With no forms this is I's own initial
+    ideal.
+    """
+    forms = tuple(forms)
+    if not forms:
+        return I.initial_ideal()
+    cache_key = ("adapted_in", forms)
+    if cache_key not in I._cache:
+        fwd, _ = _linear_change(I.ring, forms)
+        moved = Ideal(I.ring, [g.substitute(fwd) for g in I.generators])
+        I._cache[cache_key] = moved.initial_ideal()
+    return I._cache[cache_key]
 
 
 def _colon_general(I: Ideal, f: Polynomial) -> Ideal:
@@ -567,15 +610,8 @@ def is_filter_regular(I: Ideal, y: Polynomial) -> bool:
     J = colon(I, y)
     from .hilbert import numerator_full  # local import to avoid a module cycle
 
-    n = I.ring.n
     diff = _poly_sub(numerator_full(I), numerator_full(J))
-    for _ in range(n):
-        if not any(diff):
-            return True
-        ok, diff = _divide_one_minus_t(diff)
-        if not ok:
-            return False
-    return True
+    return _finite_length_series(diff, I.ring.n) is not None
 
 
 def _poly_sub(a: list[int], b: list[int]) -> list[int]:
@@ -597,6 +633,16 @@ def _divide_one_minus_t(coeffs: list[int]):
     if acc != 0:
         return False, coeffs
     return True, out[:-1] if out else []
+
+
+def _finite_length_series(num: list[int], n: int) -> list[int] | None:
+    """num / (1-t)^n as a polynomial, the Hilbert series of a module of finite
+    length; None when (1-t)^n does not divide num (positive dimension)."""
+    for _ in range(n):
+        exact, num = _divide_one_minus_t(num)
+        if not exact:
+            return None
+    return num
 
 
 def filter_regular_lsop(I: Ideal, seed, max_retries: int = 32) -> list[Polynomial]:

@@ -345,7 +345,7 @@ def koszul_strand(I: Ideal, i: int, j: int, order="degrevlex") -> int:
     return dim_k - alg.strand_rank(i, j) - alg.strand_rank(i + 1, j)
 
 
-def regularity_exact(I: Ideal, max_dim: int | None = None):
+def regularity_exact(I: Ideal):
     """reg(S/I) = max{j - i : Tor_i(k, S/I)_j != 0}.
 
     The strand scan runs out to a Taylor bound on the initial ideal, which
@@ -355,8 +355,7 @@ def regularity_exact(I: Ideal, max_dim: int | None = None):
         return REG_EMPTY
     if I.is_zero:
         return 0
-    table = betti_table(I, max_dim=max_dim)
-    return table.regularity()
+    return betti_table(I).regularity()
 
 
 def regularity_initial(I: Ideal, max_dim: int | None = None, order="degrevlex") -> int:
@@ -379,10 +378,10 @@ def _monomial_poly(ring, mono):
     return Polynomial._raw(ring, {mono: 1})
 
 
-def regularity_ideal(I: Ideal, max_dim: int | None = None) -> int:
+def regularity_ideal(I: Ideal) -> int:
     """reg(I) = reg(S/I) + 1 for a proper nonzero ideal."""
     if I.is_zero:
         raise ValueError("the zero ideal has no regularity of this form")
     if I.is_unit:
         raise ValueError("the unit ideal is not a proper ideal")
-    return regularity_exact(I, max_dim=max_dim) + 1
+    return regularity_exact(I) + 1

@@ -12,10 +12,14 @@ from regbound.bounds import (
     cs_recursive_bound,
     gather_invariants,
     phi,
+    section_regularities,
 )
 from regbound.groebner import Ideal, filter_regular_lsop
+from regbound.hilbert import InvariantError, artinian_length, section_hf
 from regbound.oracle import regularity_exact
 from regbound.ring import PolyRing, parse_polynomial
+
+from helpers import structured_ideals
 
 R2 = PolyRing(2)
 R3 = PolyRing(3)
@@ -104,6 +108,68 @@ class TestCsRecursive:
             if len(lsop) < 2:
                 continue
             assert regularity_exact(I) <= cs_recursive_bound(I, lsop)
+
+
+def linear_form_products(p):
+    """Products of linear forms over F_p in four variables: two planes meeting
+    in a point (non-Cohen-Macaulay, d = 2), a plane with an embedded
+    component (d = 3), and a curve of degree four in P^3 (d = 2)."""
+    ring = PolyRing(4, p)
+    x1, x2, x3, x4 = ring.variables()
+    return [
+        Ideal(ring, [(x1 + x2) * (x3 + x4), (x1 + x2) * x4, x2 * (x3 + x4), x2 * x4]),
+        Ideal(ring, [x1 * (x1 + x2), x1 * (x3 + x4) * x2]),
+        Ideal(ring, [(x1 + x3) * x2, x1 * (x2 + x3) * (x1 + x2 + x4)]),
+    ]
+
+
+def caviglia(D):
+    """(x1^D, x2^D, x1*x3^(D-1) - x2*x4^(D-1)): d = 2, not Cohen-Macaulay,
+    reg(S/I) = D^2 - 2."""
+    R4 = PolyRing(4)
+    return ideal(R4, f"x1^{D}", f"x2^{D}", f"x1*x3^{D - 1} - x2*x4^{D - 1}")
+
+
+class TestSectionRegularities:
+    """Trung's formula on the adapted initial ideal against the Koszul oracle
+    and the section Groebner bases it replaces."""
+
+    def assert_matches_sections(self, I, seed=0):
+        inv = gather_invariants(I, seed)
+        lsop, d, D = inv.lsop, inv.d, inv.D
+        regs = section_regularities(I, lsop)
+        assert regs == [regularity_exact(I.plus(*lsop[:k])) for k in range(d + 1)]
+        assert inv.c == section_hf(I, lsop[: max(d - 1, 0)], D)
+        assert inv.cprime == section_hf(I, lsop, D)
+        assert inv.length_artinian == artinian_length(I.plus(*lsop))
+        return regs
+
+    def test_structured_ideals(self):
+        for I in structured_ideals():
+            self.assert_matches_sections(I)
+
+    def test_linear_form_products_in_small_characteristic(self):
+        for p in (2, 3):
+            for I in linear_form_products(p):
+                self.assert_matches_sections(I, seed=1)
+
+    def test_caviglia_family(self):
+        for D in (2, 3):
+            regs = self.assert_matches_sections(caviglia(D))
+            assert regs[0] == D * D - 2
+            assert analyze(caviglia(D), exact=True).exact_reg == D * D - 2
+
+    def test_artinian_ideal_needs_no_forms(self):
+        I = ideal(R3, "x1^2", "x2^2", "x3^2")
+        assert section_regularities(I, []) == [3]
+
+    def test_form_that_is_not_filter_regular_raises(self):
+        with pytest.raises(InvariantError):
+            section_regularities(ideal(R2, "x1*x2"), [R2.variable(0)])
+
+    def test_sections_that_are_not_artinian_raise(self):
+        with pytest.raises(InvariantError):
+            section_regularities(ideal(R3, "x1*x2"), [R3.variable(2)])
 
 
 class TestAnalyze:

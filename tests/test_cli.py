@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from regbound import bounds
 from regbound.cli import main
-from regbound.fuzz import FuzzConfig, run_fuzz, trial_seed
+from regbound.fuzz import FuzzConfig, run_fuzz, run_trial, trial_seed
 from regbound.groebner import parse_ideal_text
+from regbound.hilbert import InvariantError
 
 QUADRICS = "ring n=3 p=32003\nx1^2\nx2^2\nx3^2\n"
 
@@ -51,6 +53,14 @@ class TestAnalyzeCommand:
     def test_betti_flag(self, quadrics_file, capsys):
         assert main(["analyze", quadrics_file, "--exact", "--betti"]) == 0
         assert "betti table" in capsys.readouterr().out
+
+    def test_budget_caps_only_the_betti_table(self, quadrics_file, capsys):
+        assert main(["analyze", quadrics_file, "--exact", "--budget", "3"]) == 0
+        assert "reg(S/I)=3" in capsys.readouterr().out
+        assert main(["analyze", quadrics_file, "--exact", "--betti", "--budget", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "reg(S/I)=3" in captured.out
+        assert "betti table unavailable" in captured.err
 
     def test_parse_error_cites_line(self, tmp_path, capsys):
         path = tmp_path / "bad.ideal"
@@ -154,6 +164,27 @@ class TestFuzzInternals:
         summary = run_fuzz(cfg)
         for rec in summary["records"]:
             assert int(rec["report"]["invariants"]["d"]) >= 2
+
+    def test_oracle_disagreement_raises(self, monkeypatch):
+        # an exact path that reports one less than the true regularity
+        exact = bounds.section_regularities
+        monkeypatch.setattr(
+            bounds, "section_regularities", lambda I, forms: [r - 1 for r in exact(I, forms)]
+        )
+        for dim in ("le1", "ge2"):
+            with pytest.raises(InvariantError, match="Koszul"):
+                run_trial(FuzzConfig(trials=1, seed=3, dim_filter=dim), 0)
+
+    def test_koszul_over_budget_skips_the_trial(self):
+        cfg = FuzzConfig(trials=2, seed=3, n_min=3, D_min=2, exact_budget=1)
+        rec = run_trial(cfg, 0)
+        assert rec["skipped_budget"] is True
+        assert set(rec) == {"trial", "seed", "ideal", "checks", "egh_holds",
+                            "weak_egh", "skipped_budget", "report"}
+        assert set(rec["checks"].values()) == {"skip"}
+        summary = run_fuzz(cfg)
+        assert summary["skipped_budget"] == 2 and summary["analyzed"] == 0
+        assert all(c["pass"] == 0 for c in summary["checks"].values())
 
     def test_reproducers_round_trip(self, tmp_path):
         from regbound.fuzz import write_reproducers

@@ -9,6 +9,9 @@ from regbound.groebner import (
     IdealParseError,
     MonomialIdeal,
     _colon_general,
+    _colon_linear,
+    _linear_change,
+    adapted_initial_ideal,
     colon,
     filter_regular_lsop,
     ideal_to_text,
@@ -131,6 +134,65 @@ class TestColon:
         assert colon(I, R2.variable(0)) == I
         J = ideal(R2, "x1*x2")  # x1 is a zerodivisor
         assert colon(J, R2.variable(0)) != J
+
+
+class TestLinearChange:
+    def test_one_form_goes_to_the_last_variable(self):
+        ring = PolyRing(4)
+        y = parse_polynomial(ring, "3*x2 + x3 - x4")
+        fwd, back = _linear_change(ring, [y])
+        # x2 is the first variable in y, so x1, x3, x4 map back to themselves
+        x = ring.variables()
+        assert back == [x[0], x[2], x[3], y]
+        assert y.substitute(fwd) == x[3]
+
+    def test_forms_go_to_the_last_variables_in_reverse_order(self):
+        ring = PolyRing(4, 5)
+        forms = [
+            parse_polynomial(ring, "x1 + x2 + x3"),
+            parse_polynomial(ring, "2*x1 + 2*x2 + x4"),
+            parse_polynomial(ring, "x3 + x4"),
+        ]
+        fwd, back = _linear_change(ring, forms)
+        x = ring.variables()
+        for k, y in enumerate(forms):
+            assert y.substitute(fwd) == x[3 - k]
+        for v in x:
+            assert v.substitute(fwd).substitute(back) == v
+
+    def test_dependent_forms_rejected(self):
+        y = parse_polynomial(R3, "x1 + x2")
+        with pytest.raises(ValueError):
+            _linear_change(R3, [y, y * 2])
+
+    def test_colon_generators_unchanged(self):
+        # pinned generators of the linear colon and saturation: the one-form
+        # coordinate change, and so the l.s.o.p. draw, must not move them
+        R4 = PolyRing(4, 5)
+        cases = [
+            (ideal(R3, "x1^2", "x1*x2"), "x1 + 2*x2 + 3*x3", False,
+             ["5334*x1^2 + 10668*x1*x2", "-8001*x1^2 - x1*x2"]),
+            (ideal(R3, "x1*x2", "x1*x3"), "x2 - x3", False, ["x1", "x1*x3"]),
+            (ideal(R3, "x1^2", "x1*x2^3", "x1*x3^3"), "x1 + x2 + x3", True,
+             ["x1^2", "-10668*x1^3 + 10667*x1^2*x2 - 10668*x1*x2^2 + 10668*x1^2*x3"
+              " + 10668*x1*x2*x3 - 10668*x1*x3^2", "-x1*x3^3",
+              "-16001*x1^2 - 16001*x1*x2 + 16001*x1*x3", "-x1"]),
+            (ideal(R4, "x1^2 + x2*x3", "x2^2*x4"), "2*x2 + x4", False,
+             ["x1^2 + x2*x3", "-x2^2*x4"]),
+        ]
+        for I, y, sat, expected in cases:
+            J = _colon_linear(I, parse_polynomial(I.ring, y), saturate=sat)
+            assert [str(g) for g in J.generators] == expected
+
+    def test_adapted_initial_ideal(self):
+        I = ideal(R3, "x1*x2", "x1*x3")
+        assert adapted_initial_ideal(I, []) is I.initial_ideal()
+        forms = [parse_polynomial(R3, "x2 + x3"), parse_polynomial(R3, "x1 + x3")]
+        M = adapted_initial_ideal(I, forms)
+        assert adapted_initial_ideal(I, forms) is M  # cached per ideal
+        # x3 = x1' and x1 = x2' - x1', x2 = x3' - x1' in the new coordinates,
+        # so I = x1 * (x2, x3) becomes (x2' - x1') * (x1', x3')
+        assert M == MonomialIdeal(3, [(2, 0, 0), (1, 0, 1)])
 
 
 class TestSaturate:
